@@ -21,7 +21,7 @@ to the gradient of the terminal cost with respect to the bin controls.
 
 from __future__ import annotations
 
-from collections import OrderedDict
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -112,27 +112,6 @@ class SwitchingCurve:
         return self.times.size
 
 
-def validate_state_path(path: OperatorPath, tol_trace: float = 1e-9,
-                        tol_psd: float = 1e-9) -> None:
-    """Raise if any node violates Hermiticity, unit trace, or positivity."""
-    for i, op in enumerate(path.ops):
-        if not is_hermitian(op, TOL_ALGEBRA):
-            raise ValueError(f"state at node {i} is not Hermitian")
-        if abs(np.trace(op).real - 1.0) > tol_trace:
-            raise ValueError(f"state at node {i} trace drift exceeds {tol_trace}")
-        if np.linalg.eigvalsh(op).min() < -tol_psd:
-            raise ValueError(f"state at node {i} has eigenvalue below -{tol_psd}")
-
-
-def validate_costate_path(path: OperatorPath, tol_psd: float = 1e-9) -> None:
-    """For a costate started from minus a projector, -lam(t) stays PSD."""
-    for i, op in enumerate(path.ops):
-        if not is_hermitian(op, TOL_ALGEBRA):
-            raise ValueError(f"costate at node {i} is not Hermitian")
-        if np.linalg.eigvalsh(-op).min() < -tol_psd:
-            raise ValueError(f"-costate at node {i} has eigenvalue below -{tol_psd}")
-
-
 def liouvillian(H: np.ndarray, L: np.ndarray, gamma: float) -> np.ndarray:
     """Vectorized generator M with vec(drho/dt) = M vec(rho), row-major vec."""
     H = as_operator(H)
@@ -155,16 +134,16 @@ def _check_grid(spec: ProblemSpec, u: ControlSchedule) -> None:
         raise ValueError("control horizon does not match the problem")
 
 
-# Cross-call memo for per-bin propagators; one optimizer iteration asks for
-# the same control three times (state, costate, cost), this makes the second
-# and third lookups free.  Keyed by value bytes, capped to bound memory.
-_HALF_MEMO: "OrderedDict[tuple, np.ndarray]" = OrderedDict()
-_HALF_MEMO_SLOTS = 4
+def _bin_steps(spec: ProblemSpec, values: np.ndarray,
+               tau: float) -> np.ndarray:
+    """expm((M0 + v*Mu)*tau) for every entry v of ``values``.
 
-
-def _spec_key(spec: ProblemSpec) -> tuple:
-    return (spec.H0.tobytes(), spec.Hu.tobytes(), spec.L.tobytes(),
-            float(spec.gamma), float(spec.t_f), spec.n_bins)
+    Each distinct value is exponentiated once; the generator parts come
+    from ``spec.generators`` and are built once per problem.
+    """
+    M0, Mu = spec.generators
+    vals, inverse = np.unique(values, return_inverse=True)
+    return expm((M0 + vals[:, None, None] * Mu) * tau)[inverse]
 
 
 def _half_propagators(spec: ProblemSpec, u: ControlSchedule,
@@ -176,25 +155,62 @@ def _half_propagators(spec: ProblemSpec, u: ControlSchedule,
     """
     if substeps < 1:
         raise ValueError("substeps must be >= 1")
-    key = (_spec_key(spec), u.values.tobytes(), float(u.dt), substeps)
-    hit = _HALF_MEMO.get(key)
-    if hit is not None:
-        _HALF_MEMO.move_to_end(key)
-        return hit
-    vals, inverse = np.unique(u.values, return_inverse=True)
-    d2 = spec.dim * spec.dim
-    mats = np.empty((vals.size, d2, d2), dtype=complex)
-    for j, vj in enumerate(vals):
-        H = spec.H0 + vj * spec.Hu
-        mats[j] = liouvillian(H, spec.L, spec.gamma)
-    base = expm(mats * (u.dt / (2.0 * substeps)))
+    halves = _bin_steps(spec, u.values, u.dt / (2.0 * substeps))
     if substeps > 1:
-        base = np.linalg.matrix_power(base, substeps)
-    halves = base[inverse]
-    _HALF_MEMO[key] = halves
-    while len(_HALF_MEMO) > _HALF_MEMO_SLOTS:
-        _HALF_MEMO.popitem(last=False)
+        halves = np.linalg.matrix_power(halves, substeps)
     return halves
+
+
+def _adjoint(halves: np.ndarray) -> np.ndarray:
+    """Backward half steps: the conjugate transpose of each forward one."""
+    return halves.conj().transpose(0, 2, 1)
+
+
+def _sweep(steps: np.ndarray, start: np.ndarray,
+           backward: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Apply each bin's half step twice: vectorized nodes (m+1), mid-bins (m).
+
+    A forward sweep starts at node 0 and walks the bins in order; a backward
+    sweep starts at node m and walks them in reverse.
+    """
+    m = steps.shape[0]
+    nodes = np.empty((m + 1, start.size), dtype=complex)
+    mids = np.empty((m, start.size), dtype=complex)
+    walk = slice(None, None, -1 if backward else 1)
+    path = nodes[walk]
+    v = path[0] = start.reshape(-1)
+    for step, mid, node in zip(steps[walk], mids[walk], path[1:]):
+        np.dot(step, v, out=mid)
+        np.dot(step, mid, out=node)
+        v = node
+    return nodes, mids
+
+
+def _sweep_rho(halves: np.ndarray,
+               rho0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Forward sweep from ``rho0``, checked for trace preservation.
+
+    Raises if the trace of any node drifts from 1 by more than 1e-10,
+    naming the first bin whose step broke it.
+    """
+    nodes, mids = _sweep(halves, rho0)
+    m, d = mids.shape[0], rho0.shape[0]
+    drift = np.abs(np.trace(nodes[1:].reshape(m, d, d), axis1=1,
+                            axis2=2).real - 1.0)
+    bad = np.flatnonzero(drift > 1e-10)
+    if bad.size:
+        i = int(bad[0])
+        raise RuntimeError(f"trace drift {drift[i]:.3e} at step {i}")
+    return nodes, mids
+
+
+def _as_path(nodes: np.ndarray, mids: np.ndarray, dt: float,
+             kind: str) -> OperatorPath:
+    d = math.isqrt(nodes.shape[1])
+    m = mids.shape[0]
+    return OperatorPath(times=np.arange(m + 1) * dt,
+                        ops=nodes.reshape(m + 1, d, d),
+                        mid_ops=mids.reshape(m, d, d), kind=kind)
 
 
 def propagate_rho(spec: ProblemSpec, u: ControlSchedule,
@@ -202,22 +218,7 @@ def propagate_rho(spec: ProblemSpec, u: ControlSchedule,
     """Forward path of the density matrix from |psi_ini><psi_ini|."""
     _check_grid(spec, u)
     halves = _half_propagators(spec, u, substeps)
-    d = spec.dim
-    m = u.n_bins
-    ops = np.empty((m + 1, d, d), dtype=complex)
-    mids = np.empty((m, d, d), dtype=complex)
-    ops[0] = spec.rho_ini
-    v = spec.rho_ini.reshape(-1)
-    for i in range(m):
-        w = halves[i] @ v
-        mids[i] = w.reshape(d, d)
-        v = halves[i] @ w
-        ops[i + 1] = v.reshape(d, d)
-        drift = abs(np.trace(ops[i + 1]).real - 1.0)
-        if drift > 1e-10:
-            raise RuntimeError(f"trace drift {drift:.3e} at step {i}")
-    times = np.arange(m + 1) * u.dt
-    return OperatorPath(times=times, ops=ops, mid_ops=mids, kind="state")
+    return _as_path(*_sweep_rho(halves, spec.rho_ini), u.dt, "state")
 
 
 def propagate_costate(spec: ProblemSpec, u: ControlSchedule,
@@ -237,21 +238,43 @@ def propagate_costate(spec: ProblemSpec, u: ControlSchedule,
         raise ValueError("boundary dimension does not match the problem")
     if not is_hermitian(boundary, TOL_ALGEBRA):
         raise ValueError("costate boundary must be Hermitian")
-    halves = _half_propagators(spec, u, substeps)
+    backs = _adjoint(_half_propagators(spec, u, substeps))
+    return _as_path(*_sweep(backs, boundary, backward=True), u.dt, "costate")
+
+
+def _state_costate(spec: ProblemSpec, u: ControlSchedule
+                   ) -> tuple[OperatorPath, OperatorPath]:
+    """State and default-boundary costate paths from one set of half steps."""
+    _check_grid(spec, u)
+    halves = _half_propagators(spec, u)
+    backs = _adjoint(halves)
+    rho = _as_path(*_sweep_rho(halves, spec.rho_ini), u.dt, "state")
+    lam = _as_path(*_sweep(backs, -spec.rho_tar, backward=True), u.dt,
+                   "costate")
+    return rho, lam
+
+
+def _bin_switching(spec: ProblemSpec, u: ControlSchedule, i: int):
+    """Phi_i as a function of bin i's value, every other bin held fixed.
+
+    Phi_i depends on the other bins only through rho at node i and lam at
+    node i+1, so one sweep each way fixes both; each evaluation of the
+    returned function is then one exponential and two matrix-vector
+    products, and equals Phi_i of the full re-propagation.
+    """
+    rho, lam = _state_costate(spec, u)
+    rho_i = rho.ops[i].reshape(-1)
+    lam_next = lam.ops[i + 1].reshape(-1)
     d = spec.dim
-    m = u.n_bins
-    ops = np.empty((m + 1, d, d), dtype=complex)
-    mids = np.empty((m, d, d), dtype=complex)
-    ops[m] = boundary
-    v = boundary.reshape(-1)
-    for i in reversed(range(m)):
-        back_half = halves[i].conj().T
-        w = back_half @ v
-        mids[i] = w.reshape(d, d)
-        v = back_half @ w
-        ops[i] = v.reshape(d, d)
-    times = np.arange(m + 1) * u.dt
-    return OperatorPath(times=times, ops=ops, mid_ops=mids, kind="costate")
+
+    def phi(v: float) -> float:
+        half = _bin_steps(spec, np.array([v]), u.dt / 2.0)
+        rho_mid = half[0] @ rho_i
+        lam_mid = _adjoint(half)[0] @ lam_next
+        return float(_phi_stack(rho_mid.reshape(1, d, d),
+                                 lam_mid.reshape(1, d, d), spec.Hu)[0])
+
+    return phi
 
 
 def _bin_samples(rho_path: OperatorPath, lam_path: OperatorPath,
@@ -279,9 +302,15 @@ def switching_function(rho_path: OperatorPath, lam_path: OperatorPath,
     """
     Hu = as_operator(Hu)
     rhos, lams, times = _bin_samples(rho_path, lam_path, convention)
+    return SwitchingCurve(times=times, values=_phi_stack(rhos, lams, Hu),
+                          convention=convention)
+
+
+def _phi_stack(rhos: np.ndarray, lams: np.ndarray,
+               Hu: np.ndarray) -> np.ndarray:
+    """Im Tr[lam [Hu, rho]] for stacks of states and costates."""
     comm = np.einsum("ij,njk->nik", Hu, rhos) - np.einsum("nij,jk->nik", rhos, Hu)
-    values = np.einsum("nij,nji->n", lams, comm).imag
-    return SwitchingCurve(times=times, values=values, convention=convention)
+    return np.einsum("nij,nji->n", lams, comm).imag
 
 
 def c_hamiltonian(rho_path: OperatorPath, lam_path: OperatorPath,
@@ -375,32 +404,13 @@ def finite_difference_curve(spec: ProblemSpec, u: ControlSchedule,
         raise ValueError("delta must be positive")
     _check_grid(spec, u)
     halves = _half_propagators(spec, u)
-    d = spec.dim
+    fwd = _sweep_rho(halves, spec.rho_ini)[0]
+    bwd = _sweep(_adjoint(halves), -spec.rho_tar, backward=True)[0]
     m = u.n_bins
-    fwd = np.empty((m + 1, d * d), dtype=complex)
-    fwd[0] = spec.rho_ini.reshape(-1)
-    for i in range(m):
-        fwd[i + 1] = halves[i] @ (halves[i] @ fwd[i])
-    bwd = np.empty((m + 1, d * d), dtype=complex)
-    bwd[m] = (-spec.rho_tar).reshape(-1)
-    for i in reversed(range(m)):
-        back_half = halves[i].conj().T
-        bwd[i] = back_half @ (back_half @ bwd[i + 1])
-    cache: dict[float, np.ndarray] = {}
-
-    def full_step(ui: float) -> np.ndarray:
-        key = float(ui)
-        if key not in cache:
-            M = liouvillian(spec.H0 + ui * spec.Hu, spec.L, spec.gamma)
-            cache[key] = expm(M * u.dt)
-        return cache[key]
-
-    grad = np.empty(m)
-    for i in range(m):
-        cp = np.vdot(bwd[i + 1], full_step(u.values[i] + delta) @ fwd[i]).real
-        cm = np.vdot(bwd[i + 1], full_step(u.values[i] - delta) @ fwd[i]).real
-        grad[i] = (cp - cm) / (2.0 * delta * u.dt)
-    return grad
+    shifted = np.concatenate([u.values + delta, u.values - delta])
+    steps = _bin_steps(spec, shifted, u.dt).reshape(2, m, *halves.shape[1:])
+    costs = np.einsum("nk,snkl,nl->sn", bwd[1:].conj(), steps, fwd[:-1]).real
+    return (costs[0] - costs[1]) / (2.0 * delta * u.dt)
 
 
 class BangResult(NamedTuple):

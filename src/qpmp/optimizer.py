@@ -17,11 +17,12 @@ from scipy.optimize import brentq
 
 from .lindblad import (
     SwitchingCurve,
+    _bin_switching,
+    _state_costate,
     c_hamiltonian,
     cost_of_control,
-    propagate_costate,
-    propagate_rho,
     switching_function,
+    terminal_cost,
 )
 from .problems import ControlSchedule, ProblemSpec, constant_control
 from .quantum_core import format_real
@@ -193,12 +194,15 @@ def gradient_step(u: ControlSchedule, phi_tilde: SwitchingCurve,
 
 
 def deterministic_provider():
-    """Exact Phi from the density-matrix engine; no stochastic cost."""
+    """Exact Phi from the density-matrix engine; no stochastic cost.
+
+    The terminal cost comes from the same forward sweep as Phi.
+    """
 
     def call(spec: ProblemSpec, u: ControlSchedule, n: int, seed: int):
-        rho = propagate_rho(spec, u)
-        lam = propagate_costate(spec, u)
-        return switching_function(rho, lam, spec.Hu), None
+        rho, lam = _state_costate(spec, u)
+        cost = terminal_cost(rho.ops[-1], spec.psi_tar)
+        return switching_function(rho, lam, spec.Hu), None, cost
 
     return call
 
@@ -210,6 +214,7 @@ def stochastic_provider(procedure: int = 2, drift_mode: str = "expm",
     Procedure 2 correlates forward and backward realizations and reports
     the terminal cost from the same batch; procedure 1 estimates the
     density matrices first and prices the cost with an independent batch.
+    Neither computes the deterministic cost, so the third entry is None.
     """
     if procedure not in (1, 2):
         raise ValueError("procedure must be 1 or 2")
@@ -218,10 +223,10 @@ def stochastic_provider(procedure: int = 2, drift_mode: str = "expm",
         if procedure == 2:
             est, cost = correlated_estimates(spec, u, n, seed, drift_mode,
                                              threads)
-            return est.curve, cost
+            return est.curve, cost, None
         est = switching_procedure1(spec, u, n, seed, drift_mode, threads)
         cost = stochastic_cost(spec, u, n, seed, drift_mode, threads)
-        return est.curve, cost
+        return est.curve, cost, None
 
     return call
 
@@ -233,10 +238,12 @@ def optimize(spec: ProblemSpec, provider, params: FilterParams,
 
     Returns ``iterations + 1`` records: record k holds the control entering
     iteration k with its Phi and costs, and the final record holds the
-    converged control after the last update.  The deterministic cost is
-    logged every iteration as the cross-check reference.  Stochastic
-    iteration k draws from a stream derived from (master_seed, k), so runs
-    are reproducible.
+    converged control after the last update.  ``provider(spec, u, n, seed)``
+    returns ``(phi, cost_stoch, cost_det)``, either cost possibly None.  The
+    deterministic cost is logged every iteration as the cross-check
+    reference; when the provider does not supply it, one forward sweep
+    prices the control.  Stochastic iteration k draws from a stream derived
+    from (master_seed, k), so runs are reproducible.
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
@@ -246,12 +253,13 @@ def optimize(spec: ProblemSpec, provider, params: FilterParams,
         n_k = schedule.n_at(k)
         seed_k = derive_seed(master_seed, DOMAIN_OPT, k)
         try:
-            phi, cost_stoch = provider(spec, u, n_k, seed_k)
+            phi, cost_stoch, cost_det = provider(spec, u, n_k, seed_k)
         except Exception as exc:
             raise RuntimeError(
                 f"switching provider failed at iteration {k}") from exc
-        record = IterationRecord(k=k, u=u, phi=phi,
-                                 cost_det=cost_of_control(spec, u),
+        if cost_det is None:
+            cost_det = cost_of_control(spec, u)
+        record = IterationRecord(k=k, u=u, phi=phi, cost_det=cost_det,
                                  cost_stoch=cost_stoch, n_realizations=n_k)
         records.append(record)
         if log is not None:
@@ -267,8 +275,7 @@ def optimize(spec: ProblemSpec, provider, params: FilterParams,
 
 def _hc_spread(spec: ProblemSpec, u: ControlSchedule) -> float:
     """Max-min spread of the c-Hamiltonian, normalized by its magnitude."""
-    rho = propagate_rho(spec, u)
-    lam = propagate_costate(spec, u)
+    rho, lam = _state_costate(spec, u)
     hc = c_hamiltonian(rho, lam, spec, u).values
     return float((hc.max() - hc.min()) / np.abs(hc).max())
 
@@ -308,8 +315,7 @@ def _transversal_bins(values: np.ndarray, u_max: float) -> list[int]:
 
 
 def _phi_values(spec: ProblemSpec, u: ControlSchedule) -> np.ndarray:
-    rho = propagate_rho(spec, u)
-    lam = propagate_costate(spec, u)
+    rho, lam = _state_costate(spec, u)
     return switching_function(rho, lam, spec.Hu).values
 
 
@@ -321,14 +327,10 @@ def _solve_bin_value(spec: ProblemSpec, u: ControlSchedule,
     of Phi_i to its own bin value shrinks with the bin width.  The same
     stationarity condition is closed directly: the root of Phi_i(v) on the
     admissible range, or the bound the descent direction pushes into when
-    Phi_i does not change sign.
+    Phi_i does not change sign.  Each root-solve evaluation reuses one
+    sweep each way and costs a single bin exponential.
     """
-
-    def phi_i(v: float) -> float:
-        vals = u.values.copy()
-        vals[i] = v
-        return float(_phi_values(spec, u.with_values(vals))[i])
-
+    phi_i = _bin_switching(spec, u, i)
     lo, hi = -spec.u_max, spec.u_max
     f_lo, f_hi = phi_i(lo), phi_i(hi)
     if f_lo == 0.0:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -92,6 +93,21 @@ class ProblemSpec:
     @property
     def dt(self) -> float:
         return self.t_f / self.n_bins
+
+    @cached_property
+    def generators(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only (M0, Mu) with Liouvillian M(u) = M0 + u*Mu.
+
+        H(u) = H0 + u*Hu enters the vectorized generator linearly and the
+        dissipator does not depend on u, so both parts are built once per
+        problem: M0 = liouvillian(H0, L, gamma), Mu = liouvillian(Hu, L, 0).
+        """
+        from .lindblad import liouvillian
+        parts = (liouvillian(self.H0, self.L, self.gamma),
+                 liouvillian(self.Hu, self.L, 0.0))
+        for part in parts:
+            part.flags.writeable = False
+        return parts
 
     @property
     def rho_ini(self) -> np.ndarray:

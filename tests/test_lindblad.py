@@ -14,6 +14,8 @@ from scipy.linalg import expm
 from qpmp.lindblad import (
     OperatorPath,
     SwitchingCurve,
+    _bin_switching,
+    _sweep_rho,
     bang_from_phi,
     c_hamiltonian,
     conserved_pairing,
@@ -93,6 +95,34 @@ def test_maximally_mixed_state_is_stationary():
         assert np.abs(M @ rho0.reshape(-1)).max() < 1e-14
 
 
+def test_affine_generator_matches_liouvillian():
+    # H(u) = H0 + u*Hu enters linearly, so M(u) = M0 + u*Mu exactly up to
+    # rounding of the affine combination.
+    for spec in (make_retention_problem(), make_preparation_problem()):
+        M0, Mu = spec.generators
+        for uval in (-1.0, -0.37, 0.0, 0.5, 1.0, 2.3):
+            M = liouvillian(spec.H0 + uval * spec.Hu, spec.L, spec.gamma)
+            assert np.abs(M0 + uval * Mu - M).max() < 1e-14
+
+
+def test_local_switching_matches_full_propagation():
+    # Phi_i(v) from one sweep each way against a full re-propagation with
+    # bin i set to v.
+    rng = np.random.default_rng(14)
+    for spec in (make_retention_problem(), make_preparation_problem()):
+        u = random_control(spec, rng)
+        for i in (0, 41, spec.n_bins - 1):
+            phi_i = _bin_switching(spec, u, i)
+            for v in (-1.0, -0.2, 0.65, 1.0):
+                vals = u.values.copy()
+                vals[i] = v
+                w = u.with_values(vals)
+                full = switching_function(propagate_rho(spec, w),
+                                          propagate_costate(spec, w),
+                                          spec.Hu).values[i]
+                assert abs(phi_i(v) - full) < 1e-12
+
+
 def test_identity_boundary_stays_identity():
     spec = make_retention_problem()
     rng = np.random.default_rng(6)
@@ -132,6 +162,20 @@ def test_substeps_agree():
     r1 = propagate_rho(spec, u, substeps=1)
     r4 = propagate_rho(spec, u, substeps=4)
     assert np.abs(r1.ops - r4.ops).max() < 1e-11
+
+
+def test_trace_drift_names_first_failing_step():
+    # The forward sweep checks every node's trace after the loop and reports
+    # the first step that broke it, as a per-step check would.
+    spec = make_retention_problem(n_bins=6)
+    halves = np.broadcast_to(np.eye(4, dtype=complex), (6, 4, 4)).copy()
+    halves[2] *= 1.0 + 1e-6
+    halves[4] *= 1.0 + 1e-3
+    with pytest.raises(RuntimeError,
+                       match=r"trace drift 2\.000e-06 at step 2$"):
+        _sweep_rho(halves, spec.rho_ini)
+    nodes, mids = _sweep_rho(halves[:2], spec.rho_ini)
+    assert np.array_equal(nodes, np.tile(spec.rho_ini.reshape(-1), (3, 1)))
 
 
 def test_costate_boundary_validation():

@@ -7,12 +7,19 @@ against small cases with hand-derived solutions.
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
-from qpmp.lindblad import propagate_costate, propagate_rho, switching_function
+from qpmp.lindblad import (
+    cost_of_control,
+    propagate_costate,
+    propagate_rho,
+    switching_function,
+)
 from qpmp.optimizer import (
     FilterParams,
     IterationRecord,
     SampleSchedule,
+    _solve_bin_value,
     _transversal_bins,
     deterministic_provider,
     gradient_step,
@@ -164,6 +171,49 @@ def test_optimize_descends_deterministically():
     assert costs[-1] < costs[0] - 0.05
     assert recs[-1].n_realizations == 1
     assert recs[-1].cost_stoch is None
+
+
+def test_deterministic_cost_det_is_cost_of_control():
+    # The provider prices each control from its own forward sweep; that
+    # must be the very number a separate forward propagation gives.
+    spec = make_preparation_problem(n_bins=40)
+    recs = optimize(spec, deterministic_provider(), FilterParams(),
+                    SampleSchedule.constant(1),
+                    zero_control(spec.t_f, 40), 12)
+    for rec in recs:
+        assert rec.cost_det == cost_of_control(spec, rec.u)
+
+
+def test_solve_bin_value_matches_full_propagation_root():
+    # Part-way to the optimum most bins have an interior root; the end bins
+    # still push into a bound.
+    spec = make_preparation_problem(n_bins=30)
+    u = optimize(spec, deterministic_provider(), FilterParams(),
+                 SampleSchedule.constant(1), zero_control(spec.t_f, 30),
+                 60)[-1].u
+
+    def full_phi(i, v):
+        vals = u.values.copy()
+        vals[i] = v
+        w = u.with_values(vals)
+        return switching_function(propagate_rho(spec, w),
+                                  propagate_costate(spec, w),
+                                  spec.Hu).values[i]
+
+    interior = bound = 0
+    for i in range(0, 30, 3):
+        got = _solve_bin_value(spec, u, i).values
+        assert np.array_equal(np.delete(got, i), np.delete(u.values, i))
+        f_lo, f_hi = full_phi(i, -1.0), full_phi(i, 1.0)
+        if np.sign(f_lo) == np.sign(f_hi):
+            assert got[i] == (1.0 if f_lo < 0.0 else -1.0)
+            bound += 1
+            continue
+        interior += 1
+        root = brentq(lambda v: full_phi(i, v), -1.0, 1.0, xtol=1e-13,
+                      rtol=8.9e-16)
+        assert got[i] == pytest.approx(root, abs=1e-12)
+    assert interior > 0 and bound > 0
 
 
 def test_zero_control_is_a_stationary_point_of_retention():
