@@ -65,14 +65,11 @@ from .trajectories import (
     DOMAIN_PAIR,
     DOMAIN_RHO,
     DRIFT_MODES,
+    MAX_REALIZATIONS,
+    _procedure1,
     correlated_estimates,
-    derive_seed,
-    estimate_lambda,
-    estimate_rho,
-    realization_to_string,
-    sample_jump_process,
+    realizations_to_csv,
     stochastic_cost,
-    switching_procedure1,
 )
 
 _DEFAULT_SEED = 12345
@@ -162,9 +159,13 @@ def _resolve_seed(seed, cfg):
     if isinstance(raw, str) and raw.strip() == "auto":
         return secrets.randbits(63), "auto"
     try:
-        return int(raw), "explicit"
+        value = int(raw)
     except (TypeError, ValueError):
-        raise click.UsageError(f"seed must be an integer or 'auto', got '{raw}'")
+        value = None
+    if value is None or value < 0:
+        raise click.UsageError("seed must be a non-negative integer or "
+                               f"'auto', got '{raw}'")
+    return value, "explicit"
 
 
 def _resolve_threads(threads, cfg):
@@ -338,8 +339,9 @@ def trajectories(problem, config_path, bins, out, control, procedure,
         raise click.UsageError("number of realizations required (--n or "
                                "'n_realizations' in the config)")
     n = int(n)
-    if n < 1:
-        raise click.UsageError("need at least one realization")
+    if not 1 <= n <= MAX_REALIZATIONS:
+        raise click.UsageError("need between 1 and "
+                               f"{MAX_REALIZATIONS} realizations")
     master_seed, seed_mode = _resolve_seed(seed, cfg)
     mode = _resolve_drift_mode(drift_mode, cfg)
     threads = _resolve_threads(threads, cfg)
@@ -351,9 +353,8 @@ def trajectories(problem, config_path, bins, out, control, procedure,
 
     results: dict = {"procedure": procedure}
     if procedure == 1:
-        rho_est = estimate_rho(spec, u, n, master_seed, mode, threads)
-        lam_est = estimate_lambda(spec, u, n, master_seed, None, mode, threads)
-        est = switching_procedure1(spec, u, n, master_seed, mode, threads)
+        est, rho_est, lam_est = _procedure1(spec, u, n, master_seed, mode,
+                                            threads)
         cost = stochastic_cost(spec, u, n, master_seed, mode, threads)
         _write(outdir, "rho_estimate.csv", _path_estimate_csv(rho_est))
         _write(outdir, "lambda_estimate.csv", _path_estimate_csv(lam_est))
@@ -384,13 +385,8 @@ def trajectories(problem, config_path, bins, out, control, procedure,
                          phi_det.values))
     if dump_realizations:
         for label, domain in streams:
-            lines = ["index,seed,dN"]
-            for i in range(n):
-                s = derive_seed(master_seed, domain, i)
-                jr = sample_jump_process(u, spec.gamma, s)
-                lines.append(f"{i},{s},{realization_to_string(jr)}")
             _write(outdir, f"realizations_{label}.csv",
-                   "\n".join(lines) + "\n")
+                   realizations_to_csv(spec, u, n, master_seed, domain))
 
     _write_metadata(outdir, {
         "command": "trajectories",

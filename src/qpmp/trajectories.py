@@ -25,7 +25,12 @@ conjugate trace terms of the commutator into the single bilinear form.
 Determinism: realization k draws from a counter-based stream derived from
 (master_seed, domain, k), work is split into fixed-size chunks, and all
 reductions run in ascending realization order, so outputs are byte-identical
-for any thread count.
+for any thread count.  The ensembles generate their jump records a chunk at a
+time, vectorized over the chunk, with the same arithmetic as numpy's
+``SeedSequence`` and ``Philox`` (Salmon et al., SC'11): every record is bit
+for bit the one ``sample_jump_process(u, gamma, derive_seed(master_seed,
+domain, k))`` draws, so a dumped seed still replays through
+``sample_jump_process``.
 """
 
 from __future__ import annotations
@@ -65,6 +70,19 @@ DOMAIN_OPT = 3
 # from the thread count) keeps reduction boundaries identical across runs.
 _CHUNK = 512
 
+# Realization indices enter the stream seeds as one 32-bit entropy word.
+MAX_REALIZATIONS = 2 ** 32 - 1
+
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx) and
+# the Philox4x64 round multipliers and key increments (Salmon et al., SC'11).
+_MASK32 = 0xFFFFFFFF
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+
 
 def derive_seed(master_seed: int, domain: int, index: int) -> int:
     """64-bit stream seed for realization ``index`` in ``domain``."""
@@ -75,6 +93,117 @@ def derive_seed(master_seed: int, domain: int, index: int) -> int:
 
 def _generator(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=int(seed)))
+
+
+def _uint32_words(value: int) -> list[int]:
+    """Little-endian 32-bit words of a nonnegative int, as SeedSequence
+    splits its entropy (zero is one word)."""
+    value = int(value)
+    if value < 0:
+        raise ValueError("expected non-negative integer")
+    words = [value & _MASK32]
+    value >>= 32
+    while value:
+        words.append(value & _MASK32)
+        value >>= 32
+    return words
+
+
+def _stream_seeds(master_seed: int, domain: int, start: int,
+                  stop: int) -> np.ndarray:
+    """``derive_seed(master_seed, domain, k)`` for k in [start, stop), uint64.
+
+    SeedSequence hashes its entropy words into a four-word pool in order:
+    the master-seed words (zero-padded to the pool size), the domain, then
+    the index.  Only the last word depends on k, so the pool before it is
+    built once with Python ints and the index step runs vectorized in
+    uint32 arithmetic, which wraps exactly as the C code does.
+    """
+    if not 0 <= start <= stop <= MAX_REALIZATIONS + 1:
+        raise ValueError("realization indices must fit in 32 bits")
+    run = _uint32_words(master_seed)
+    entropy = run + [0] * (4 - len(run)) + _uint32_words(domain)
+    h = _INIT_A
+
+    def hashmix(value: int) -> int:
+        nonlocal h
+        value ^= h
+        h = h * _MULT_A & _MASK32
+        value = value * h & _MASK32
+        return value ^ (value >> 16)
+
+    def mix(x: int, y: int) -> int:
+        r = (_MIX_L * x - _MIX_R * y) & _MASK32
+        return r ^ (r >> 16)
+
+    pool = [hashmix(w) for w in entropy[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for w in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(w))
+    # The index word mixes into every pool word, but generate_state(1,
+    # uint64) reads only the first two.
+    k = np.arange(start, stop, dtype=np.uint32)
+    h_out = _INIT_B
+    state = []
+    with np.errstate(over="ignore"):
+        for dst in range(2):
+            v = k ^ np.uint32(h)
+            h = h * _MULT_A & _MASK32
+            v *= np.uint32(h)
+            v ^= v >> np.uint32(16)
+            r = np.uint32(_MIX_L * pool[dst] & _MASK32) - np.uint32(_MIX_R) * v
+            r ^= r >> np.uint32(16)
+            r ^= np.uint32(h_out)
+            h_out = h_out * _MULT_B & _MASK32
+            r *= np.uint32(h_out)
+            r ^= r >> np.uint32(16)
+            state.append(r.astype(np.uint64))
+    return state[0] | (state[1] << np.uint64(32))
+
+
+def _mulhilo(a: int, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low 64-bit words of the 128-bit product a*b, from 32-bit
+    halves in uint64 arithmetic."""
+    a_lo, a_hi = np.uint64(a & _MASK32), np.uint64(a >> 32)
+    b_lo, b_hi = b & np.uint64(_MASK32), b >> np.uint64(32)
+    ll, lh, hl = b_lo * a_lo, b_hi * a_lo, b_lo * a_hi
+    mid = (ll >> np.uint64(32)) + (lh & np.uint64(_MASK32)) + (
+        hl & np.uint64(_MASK32))
+    hi = (b_hi * a_hi + (lh >> np.uint64(32)) + (hl >> np.uint64(32))
+          + (mid >> np.uint64(32)))
+    return hi, b * np.uint64(a)
+
+
+def _philox_uniforms(seeds: np.ndarray, n: int) -> np.ndarray:
+    """Row j equals ``_generator(seeds[j]).random(n)``.
+
+    Philox4x64-10 with key (seed, 0) turns counters 1, 2, ... into four
+    64-bit words each; a double is (word >> 11) * 2**-53.  The counter is
+    the same for every row and the key the same for every block, so the
+    first rounds run on broadcast shapes.
+    """
+    blocks = -(-n // 4)
+    with np.errstate(over="ignore"):
+        x0 = np.arange(1, blocks + 1, dtype=np.uint64)[None, :]
+        x1 = x2 = x3 = np.zeros((1, 1), dtype=np.uint64)
+        k0 = np.asarray(seeds, dtype=np.uint64)[:, None]
+        k1 = 0
+        for r in range(10):
+            if r:
+                k0 = k0 + np.uint64(_PHILOX_W[0])
+                k1 = (k1 + _PHILOX_W[1]) & _MASK64
+            hi0, lo0 = _mulhilo(_PHILOX_M[0], x0)
+            hi1, lo1 = _mulhilo(_PHILOX_M[1], x2)
+            x0, x1, x2, x3 = hi1 ^ x1 ^ k0, lo1, hi0 ^ x3 ^ np.uint64(k1), lo0
+        words = np.empty((k0.shape[0], blocks, 4), dtype=np.uint64)
+        for i, x in enumerate((x0, x1, x2, x3)):
+            words[:, :, i] = x
+    words = words.reshape(k0.shape[0], 4 * blocks)[:, :n]
+    return (words >> np.uint64(11)).astype(float) * (1.0 / 9007199254740992.0)
 
 
 @dataclass(frozen=True)
@@ -244,13 +373,13 @@ def _drift_matrices(spec: ProblemSpec, u: ControlSchedule,
     return out
 
 
-def _forward_batch(spec: ProblemSpec, u: ControlSchedule, dN: np.ndarray,
+def _forward_batch(spec: ProblemSpec, D: np.ndarray, dN: np.ndarray,
                    drift_mode: str, initial: np.ndarray) -> np.ndarray:
-    """Propagate a (N, d) batch forward; returns node values (N, m+1, d)."""
-    D = _drift_matrices(spec, u, drift_mode)
+    """Propagate a (N, d) batch forward under the per-bin drift steps ``D``
+    of ``_drift_matrices``; returns node values (N, m+1, d)."""
     L = spec.L
     eye = np.eye(spec.dim)
-    n, m = dN.shape[0], u.n_bins
+    n, m = dN.shape[0], D.shape[0]
     out = np.empty((n, m + 1, spec.dim), dtype=complex)
     psi = np.array(initial, dtype=complex)
     out[:, 0] = psi
@@ -266,17 +395,16 @@ def _forward_batch(spec: ProblemSpec, u: ControlSchedule, dN: np.ndarray,
     return out
 
 
-def _backward_batch(spec: ProblemSpec, u: ControlSchedule, dN: np.ndarray,
+def _backward_batch(spec: ProblemSpec, D: np.ndarray, dN: np.ndarray,
                     drift_mode: str, boundary: np.ndarray) -> np.ndarray:
     """Propagate a (N, d) batch backward from t_f; returns (N, m+1, d).
 
     Each bin applies the conjugate transpose of the forward step: in expm
     mode the jump L^+ acts before the drift, mirroring the forward order.
     """
-    D = _drift_matrices(spec, u, drift_mode)
     L = spec.L
     eye = np.eye(spec.dim)
-    n, m = dN.shape[0], u.n_bins
+    n, m = dN.shape[0], D.shape[0]
     out = np.empty((n, m + 1, spec.dim), dtype=complex)
     pi = np.array(boundary, dtype=complex)
     out[:, m] = pi
@@ -297,7 +425,8 @@ def forward_psi(spec: ProblemSpec, u: ControlSchedule, jr: JumpRealization,
                 drift_mode: str = "expm") -> StatePath:
     """One forward trajectory from psi_ini under the given realization."""
     _check_realization(spec, u, jr)
-    vecs = _forward_batch(spec, u, jr.dN[None, :], drift_mode,
+    vecs = _forward_batch(spec, _drift_matrices(spec, u, drift_mode),
+                          jr.dN[None, :], drift_mode,
                           spec.psi_ini[None, :])[0]
     times = np.arange(u.n_bins + 1) * u.dt
     return StatePath(times=times, vectors=vecs)
@@ -314,7 +443,8 @@ def backward_pi(spec: ProblemSpec, u: ControlSchedule, jr: JumpRealization,
     boundary = np.asarray(boundary, dtype=complex).reshape(-1)
     if boundary.size != spec.dim:
         raise ValueError("boundary dimension does not match the problem")
-    vecs = _backward_batch(spec, u, jr.dN[None, :], drift_mode,
+    vecs = _backward_batch(spec, _drift_matrices(spec, u, drift_mode),
+                           jr.dN[None, :], drift_mode,
                            boundary[None, :])[0]
     times = np.arange(u.n_bins + 1) * u.dt
     return StatePath(times=times, vectors=vecs)
@@ -353,13 +483,30 @@ def _map_chunks(worker, n: int, threads: int) -> list:
 
 def _dn_chunk(spec: ProblemSpec, u: ControlSchedule, master_seed: int,
               domain: int, start: int, stop: int) -> np.ndarray:
-    """dN rows for realizations [start, stop); must match sample_jump_process."""
-    p = spec.gamma * u.dt
-    out = np.empty((stop - start, u.n_bins), dtype=np.uint8)
-    for j, k in enumerate(range(start, stop)):
-        seed = derive_seed(master_seed, domain, k)
-        out[j] = (_generator(seed).random(u.n_bins) < p).astype(np.uint8)
-    return out
+    """dN rows for realizations [start, stop) of one stream domain.
+
+    Row j is bit for bit ``sample_jump_process(u, spec.gamma, derive_seed(
+    master_seed, domain, start + j)).dN``.
+    """
+    seeds = _stream_seeds(master_seed, domain, start, stop)
+    draws = _philox_uniforms(seeds, u.n_bins)
+    return (draws < spec.gamma * u.dt).astype(np.uint8)
+
+
+def realizations_to_csv(spec: ProblemSpec, u: ControlSchedule, n: int,
+                        master_seed: int, domain: int) -> str:
+    """``index,seed,dN`` rows for realizations 0..n-1 of one stream domain.
+
+    Each seed replays its dN string through ``sample_jump_process``.
+    """
+    lines = ["index,seed,dN"]
+    for start, stop in _chunk_ranges(n):
+        seeds = _stream_seeds(master_seed, domain, start, stop).tolist()
+        digits = _dn_chunk(spec, u, master_seed, domain, start, stop)
+        digits += ord("0")
+        for k, seed, row in zip(range(start, stop), seeds, digits):
+            lines.append(f"{k},{seed},{row.tobytes().decode('ascii')}")
+    return "\n".join(lines) + "\n"
 
 
 def _check_ensemble_args(spec: ProblemSpec, u: ControlSchedule, n: int,
@@ -368,6 +515,8 @@ def _check_ensemble_args(spec: ProblemSpec, u: ControlSchedule, n: int,
     _check_drift_mode(drift_mode)
     if n < 1:
         raise ValueError("need at least one realization")
+    if n > MAX_REALIZATIONS:
+        raise ValueError("at most 2**32 - 1 realizations per ensemble")
     if spec.gamma * u.dt >= 1.0:
         raise ValueError("gamma*dt must be < 1; refine the grid")
 
@@ -410,11 +559,12 @@ def estimate_rho(spec: ProblemSpec, u: ControlSchedule, n: int,
     std_err per node is the largest entrywise standard error of the mean.
     """
     _check_ensemble_args(spec, u, n, drift_mode)
+    D = _drift_matrices(spec, u, drift_mode)
 
     def worker(rng: tuple[int, int]):
         start, stop = rng
         dN = _dn_chunk(spec, u, master_seed, DOMAIN_RHO, start, stop)
-        psi = _forward_batch(spec, u, dN, drift_mode,
+        psi = _forward_batch(spec, D, dN, drift_mode,
                              np.broadcast_to(spec.psi_ini,
                                              (stop - start, spec.dim)))
         X = np.einsum("nti,ntj->ntij", psi, psi.conj())
@@ -468,6 +618,7 @@ def estimate_lambda(spec: ProblemSpec, u: ControlSchedule, n: int,
     _check_ensemble_args(spec, u, n, drift_mode)
     weights, vecs = _boundary_branches(spec, boundary)
     k = weights.size
+    D = _drift_matrices(spec, u, drift_mode)
 
     def worker(rng: tuple[int, int]):
         start, stop = rng
@@ -475,7 +626,7 @@ def estimate_lambda(spec: ProblemSpec, u: ControlSchedule, n: int,
         dN = _dn_chunk(spec, u, master_seed, DOMAIN_LAMBDA, start, stop)
         dN_all = np.repeat(dN, k, axis=0)
         init = np.tile(vecs, (c, 1))
-        pi = _backward_batch(spec, u, dN_all, drift_mode, init)
+        pi = _backward_batch(spec, D, dN_all, drift_mode, init)
         pi = pi.reshape(c, k, u.n_bins + 1, spec.dim)
         X = np.einsum("b,nbti,nbtj->ntij", weights, pi, pi.conj())
         return _chunk_moments(X)
@@ -501,6 +652,15 @@ def switching_procedure1(spec: ProblemSpec, u: ControlSchedule, n: int,
     sources to first order: each realization's contribution is evaluated
     against the other ensemble's mean.
     """
+    return _procedure1(spec, u, n, master_seed, drift_mode, threads)[0]
+
+
+def _procedure1(spec: ProblemSpec, u: ControlSchedule, n: int,
+                master_seed: int, drift_mode: str, threads: int
+                ) -> tuple[SwitchingEstimate, PathEstimate, PathEstimate]:
+    """``switching_procedure1`` with the rho and lam estimates it is built
+    from, which equal ``estimate_rho`` and ``estimate_lambda`` (default
+    boundary) for the same arguments."""
     rho_est = estimate_rho(spec, u, n, master_seed, drift_mode, threads)
     lam_est = estimate_lambda(spec, u, n, master_seed, None, drift_mode,
                               threads)
@@ -515,12 +675,13 @@ def switching_procedure1(spec: ProblemSpec, u: ControlSchedule, n: int,
         "tij,jk->tik", rho_mean, Hu)
     weights, vecs = _boundary_branches(spec, None)
     k = weights.size
+    D = _drift_matrices(spec, u, drift_mode)
 
     def worker(rng: tuple[int, int]):
         start, stop = rng
         c = stop - start
         dN_rho = _dn_chunk(spec, u, master_seed, DOMAIN_RHO, start, stop)
-        psi = _forward_batch(spec, u, dN_rho, drift_mode,
+        psi = _forward_batch(spec, D, dN_rho, drift_mode,
                              np.broadcast_to(spec.psi_ini, (c, spec.dim)))
         psi = psi[:, :m]
         outer = np.einsum("nti,ntj->ntij", psi, psi.conj())
@@ -530,7 +691,7 @@ def switching_procedure1(spec: ProblemSpec, u: ControlSchedule, n: int,
         dN_lam = _dn_chunk(spec, u, master_seed, DOMAIN_LAMBDA, start, stop)
         dN_all = np.repeat(dN_lam, k, axis=0)
         init = np.tile(vecs, (c, 1))
-        pi = _backward_batch(spec, u, dN_all, drift_mode, init)
+        pi = _backward_batch(spec, D, dN_all, drift_mode, init)
         pi = pi.reshape(c, k, u.n_bins + 1, spec.dim)[:, :, :m]
         lam_samples = np.einsum("b,nbti,nbtj->ntij", weights, pi, pi.conj())
         a = np.einsum("ntij,tji->nt", lam_samples, comm_rho).imag
@@ -546,12 +707,12 @@ def switching_procedure1(spec: ProblemSpec, u: ControlSchedule, n: int,
         var_b = (sums[3] - sums[2] ** 2 / n) / (n - 1)
         err = np.sqrt(np.clip(var_a + var_b, 0.0, None) / n)
     stats = EnsembleStats(n=n, mean=curve.values, std_err=err)
-    return SwitchingEstimate(curve=curve, stats=stats)
+    return SwitchingEstimate(curve=curve, stats=stats), rho_est, lam_est
 
 
-def _pair_chunk(spec: ProblemSpec, u: ControlSchedule, master_seed: int,
-                drift_mode: str, start: int, stop: int,
-                A_bins: np.ndarray | None):
+def _pair_chunk(spec: ProblemSpec, u: ControlSchedule, D: np.ndarray,
+                master_seed: int, drift_mode: str, start: int, stop: int,
+                A_bins: np.ndarray):
     """Correlated forward/backward chunk.
 
     Returns per-realization bilinear samples 2*<pi|A|psi> at the left node
@@ -561,16 +722,13 @@ def _pair_chunk(spec: ProblemSpec, u: ControlSchedule, master_seed: int,
     c = stop - start
     m = u.n_bins
     dN = _dn_chunk(spec, u, master_seed, DOMAIN_PAIR, start, stop)
-    psi = _forward_batch(spec, u, dN, drift_mode,
+    psi = _forward_batch(spec, D, dN, drift_mode,
                          np.broadcast_to(spec.psi_ini, (c, spec.dim)))
     amps = psi[:, -1] @ spec.psi_tar.conj()
     boundary = -amps[:, None] * spec.psi_tar[None, :]
-    pi = _backward_batch(spec, u, dN, drift_mode, boundary)
-    if A_bins is None:
-        samples = None
-    else:
-        samples = 2.0 * np.einsum("nti,tij,ntj->nt", pi[:, :m].conj(),
-                                  A_bins, psi[:, :m])
+    pi = _backward_batch(spec, D, dN, drift_mode, boundary)
+    samples = 2.0 * np.einsum("nti,tij,ntj->nt", pi[:, :m].conj(),
+                              A_bins, psi[:, :m])
     costs = -np.abs(amps) ** 2
     return samples, costs
 
@@ -620,13 +778,15 @@ def bilinear_average(spec: ProblemSpec, u: ControlSchedule, n: int,
     if A_bins.shape[1] != spec.dim:
         raise ValueError("A dimension does not match the problem")
 
-    def worker(rng: tuple[int, int]):
-        return _pair_chunk(spec, u, master_seed, drift_mode, rng[0], rng[1],
-                           A_bins)
+    D = _drift_matrices(spec, u, drift_mode)
 
-    parts = _map_chunks(worker, n, threads)
-    samples = np.concatenate([p[0] for p in parts], axis=0)
-    samples = samples.real if part == "re" else samples.imag
+    def worker(rng: tuple[int, int]):
+        samples, _ = _pair_chunk(spec, u, D, master_seed, drift_mode,
+                                 rng[0], rng[1], A_bins)
+        return np.ascontiguousarray(samples.real if part == "re"
+                                    else samples.imag)
+
+    samples = np.concatenate(_map_chunks(worker, n, threads), axis=0)
     return _curve_stats(samples, u, n)
 
 
@@ -651,13 +811,15 @@ def correlated_estimates(spec: ProblemSpec, u: ControlSchedule, n: int,
     """Switching estimate and terminal-cost estimate from one shared batch."""
     _check_ensemble_args(spec, u, n, drift_mode)
     A_bins = np.broadcast_to(spec.Hu, (u.n_bins,) + spec.Hu.shape)
+    D = _drift_matrices(spec, u, drift_mode)
 
     def worker(rng: tuple[int, int]):
-        return _pair_chunk(spec, u, master_seed, drift_mode, rng[0], rng[1],
-                           A_bins)
+        samples, costs = _pair_chunk(spec, u, D, master_seed, drift_mode,
+                                     rng[0], rng[1], A_bins)
+        return np.ascontiguousarray(samples.imag), costs
 
     parts = _map_chunks(worker, n, threads)
-    samples = np.concatenate([p[0] for p in parts], axis=0).imag
+    samples = np.concatenate([p[0] for p in parts], axis=0)
     costs = np.concatenate([p[1] for p in parts], axis=0)
     return _curve_stats(samples, u, n), _scalar_stats(costs, n)
 
@@ -671,12 +833,13 @@ def stochastic_cost(spec: ProblemSpec, u: ControlSchedule, n: int,
     ``correlated_estimates`` for the same seed exactly.
     """
     _check_ensemble_args(spec, u, n, drift_mode)
+    D = _drift_matrices(spec, u, drift_mode)
 
     def worker(rng: tuple[int, int]):
         start, stop = rng
         c = stop - start
         dN = _dn_chunk(spec, u, master_seed, DOMAIN_PAIR, start, stop)
-        psi = _forward_batch(spec, u, dN, drift_mode,
+        psi = _forward_batch(spec, D, dN, drift_mode,
                              np.broadcast_to(spec.psi_ini, (c, spec.dim)))
         amps = psi[:, -1] @ spec.psi_tar.conj()
         return -np.abs(amps) ** 2

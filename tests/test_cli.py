@@ -10,6 +10,13 @@ from qpmp.cli import main
 from qpmp.lindblad import cost_of_control
 from qpmp.problems import make_retention_problem, step_control
 from qpmp.quantum_core import format_real
+from qpmp.trajectories import (
+    DOMAIN_LAMBDA,
+    DOMAIN_RHO,
+    derive_seed,
+    realization_to_string,
+    sample_jump_process,
+)
 
 
 @pytest.fixture()
@@ -160,6 +167,48 @@ def test_trajectories_validation(runner):
     r = runner.invoke(main, ["trajectories", "--problem", "retention",
                              "--control", "step", "--n", "5",
                              "--threads", "0"])
+    assert r.exit_code == 2
+
+
+def test_dumped_realizations_match_per_row_replay(runner, tmp_path):
+    # 600 realizations span two chunks; every row is what derive_seed and
+    # sample_jump_process give for its index.
+    out = tmp_path / "dump"
+    run_ok(runner, ["trajectories", "--problem", "retention", "--bins", "20",
+                    "--control", "step", "--procedure", "1", "--n", "600",
+                    "--seed", "2", "--dump-realizations", "--out", str(out)])
+    spec = make_retention_problem(20)
+    u = step_control(spec.t_f, spec.n_bins)
+    for label, domain in (("rho", DOMAIN_RHO), ("lambda", DOMAIN_LAMBDA)):
+        lines = ["index,seed,dN"]
+        for i in range(600):
+            s = derive_seed(2, domain, i)
+            jr = sample_jump_process(u, spec.gamma, s)
+            lines.append(f"{i},{s},{realization_to_string(jr)}")
+        expected = ("\n".join(lines) + "\n").encode("utf-8")
+        assert (out / f"realizations_{label}.csv").read_bytes() == expected
+
+
+def test_negative_seed_is_a_usage_error(runner, tmp_path):
+    base = ["--problem", "retention", "--bins", "20"]
+    r = runner.invoke(main, ["trajectories"] + base
+                      + ["--control", "step", "--n", "5", "--seed", "-1"])
+    assert r.exit_code == 2
+    assert "non-negative" in r.output
+    r = runner.invoke(main, ["optimize"] + base
+                      + ["--provider", "stochastic2", "--n", "5",
+                         "--iters", "1", "--seed", "-3"])
+    assert r.exit_code == 2
+    cfg = tmp_path / "neg.json"
+    cfg.write_text(json.dumps({"master_seed": -7}))
+    r = runner.invoke(main, ["trajectories", "--config", str(cfg)] + base
+                      + ["--control", "step", "--n", "5"])
+    assert r.exit_code == 2
+    r = runner.invoke(main, ["optimize", "--config", str(cfg)] + base
+                      + ["--iters", "1"])
+    assert r.exit_code == 2
+    r = runner.invoke(main, ["trajectories"] + base
+                      + ["--control", "step", "--n", str(2 ** 32)])
     assert r.exit_code == 2
 
 

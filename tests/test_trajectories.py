@@ -7,11 +7,15 @@ them) without being flaky.
 """
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from scipy.linalg import expm
 
+from qpmp import trajectories
+from qpmp.cli import main
 from qpmp.lindblad import (
     propagate_costate,
     propagate_rho,
@@ -19,6 +23,7 @@ from qpmp.lindblad import (
 )
 from qpmp.problems import (
     ControlSchedule,
+    control_to_csv,
     make_preparation_problem,
     make_retention_problem,
     step_control,
@@ -27,9 +32,15 @@ from qpmp.problems import (
 from qpmp.quantum_core import SIGMA_X, dag, outer
 from qpmp.trajectories import (
     DOMAIN_LAMBDA,
+    DOMAIN_OPT,
     DOMAIN_PAIR,
     DOMAIN_RHO,
+    MAX_REALIZATIONS,
     JumpRealization,
+    _dn_chunk,
+    _philox_uniforms,
+    _procedure1,
+    _stream_seeds,
     backward_pi,
     bilinear_average,
     correlated_estimates,
@@ -55,6 +66,140 @@ def test_derive_seed_streams():
     seen = {derive_seed(42, d, i) for d in (0, 1, 2, 3) for i in range(50)}
     assert len(seen) == 200
     assert derive_seed(43, DOMAIN_RHO, 0) != a
+
+
+def scalar_dn_chunk(spec, u, master_seed, domain, start, stop):
+    """Reference jump records: one SeedSequence and one Philox generator
+    per realization, exactly as ``sample_jump_process`` draws them."""
+    p = spec.gamma * u.dt
+    out = np.empty((stop - start, u.n_bins), dtype=np.uint8)
+    for j, k in enumerate(range(start, stop)):
+        seed = derive_seed(master_seed, domain, k)
+        rng = np.random.Generator(np.random.Philox(key=seed))
+        out[j] = (rng.random(u.n_bins) < p).astype(np.uint8)
+    return out
+
+
+@pytest.mark.parametrize("master_seed", [0, 1, 2 ** 32 - 1, 2 ** 32,
+                                         2 ** 63 - 1, 2 ** 128 + 1])
+def test_stream_seeds_match_derive_seed(master_seed):
+    for domain in range(4):
+        for start, stop in ((0, 300), (123456, 123556)):
+            ref = [derive_seed(master_seed, domain, k)
+                   for k in range(start, stop)]
+            got = _stream_seeds(master_seed, domain, start, stop)
+            assert got.dtype == np.uint64
+            assert got.tolist() == ref
+
+
+def test_stream_seeds_reject_negative_and_wide_indices():
+    with pytest.raises(ValueError):
+        derive_seed(-1, DOMAIN_RHO, 0)
+    with pytest.raises(ValueError):
+        _stream_seeds(-1, DOMAIN_RHO, 0, 4)
+    with pytest.raises(ValueError):
+        _stream_seeds(1, DOMAIN_RHO, 0, 2 ** 32 + 1)
+    last = _stream_seeds(1, DOMAIN_RHO, 2 ** 32 - 2, 2 ** 32)
+    assert last.tolist() == [derive_seed(1, DOMAIN_RHO, k)
+                             for k in (2 ** 32 - 2, 2 ** 32 - 1)]
+
+
+@pytest.mark.parametrize("n", [1, 3, 4, 99, 100, 101])
+def test_philox_uniforms_match_generator(n):
+    seeds = np.concatenate([_stream_seeds(5, DOMAIN_PAIR, 0, 40),
+                            np.array([0, 1, 2 ** 64 - 1], dtype=np.uint64)])
+    got = _philox_uniforms(seeds, n)
+    ref = np.array([np.random.Generator(np.random.Philox(key=int(s))).random(n)
+                    for s in seeds])
+    assert got.dtype == ref.dtype and got.shape == ref.shape
+    assert np.array_equal(got, ref)
+
+
+def test_dn_chunk_rows_match_sample_jump_process():
+    spec = make_preparation_problem(n_bins=37)
+    u = zero_control(spec.t_f, 37)
+    for domain in (DOMAIN_RHO, DOMAIN_LAMBDA, DOMAIN_PAIR):
+        chunk = _dn_chunk(spec, u, 2024, domain, 100, 612)
+        assert chunk.dtype == np.uint8 and chunk.shape == (512, 37)
+        for j, k in enumerate(range(100, 612)):
+            jr = sample_jump_process(u, spec.gamma,
+                                     derive_seed(2024, domain, k))
+            assert np.array_equal(chunk[j], jr.dN)
+        assert chunk.any()
+        assert np.array_equal(
+            chunk, scalar_dn_chunk(spec, u, 2024, domain, 100, 612))
+
+
+def test_rng_kernel_emits_no_warnings():
+    spec = make_retention_problem()
+    u = step_control(spec.t_f, spec.n_bins)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        seeds = _stream_seeds(2 ** 64 - 1, DOMAIN_OPT, 0, 600)
+        _philox_uniforms(seeds, 101)
+        _dn_chunk(spec, u, 7, DOMAIN_PAIR, 0, 512)
+
+
+def test_ensembles_reject_too_many_realizations():
+    spec = make_retention_problem()
+    u = step_control(spec.t_f, spec.n_bins)
+    for fn in (estimate_rho, stochastic_cost, switching_procedure2):
+        with pytest.raises(ValueError):
+            fn(spec, u, MAX_REALIZATIONS + 1, 0)
+
+
+def test_procedure1_helper_returns_its_estimates():
+    spec = make_retention_problem()
+    u = step_control(spec.t_f, spec.n_bins)
+    est, rho_est, lam_est = _procedure1(spec, u, 700, 23, "expm", 2)
+    rho = estimate_rho(spec, u, 700, 23)
+    lam = estimate_lambda(spec, u, 700, 23)
+    for got, ref in ((rho_est, rho), (lam_est, lam)):
+        assert np.array_equal(got.times, ref.times)
+        assert np.array_equal(got.stats.mean, ref.stats.mean)
+        assert np.array_equal(got.stats.std_err, ref.stats.std_err)
+    solo = switching_procedure1(spec, u, 700, 23)
+    assert np.array_equal(est.curve.values, solo.curve.values)
+    assert np.array_equal(est.stats.std_err, solo.stats.std_err)
+
+
+def _trajectories_outputs(root, control, monkeypatch, dn_chunk):
+    """Every file of ``qpmp trajectories`` on preparation, both procedures
+    and two thread counts, with ``dn_chunk`` generating the jump records."""
+    monkeypatch.setattr(trajectories, "_dn_chunk", dn_chunk)
+    runner = CliRunner()
+    files = {}
+    for procedure in ("1", "2"):
+        for threads in ("1", "2"):
+            out = root / f"p{procedure}_t{threads}"
+            res = runner.invoke(main, [
+                "trajectories", "--problem", "preparation", "--control",
+                str(control), "--procedure", procedure, "--n", "1100",
+                "--seed", "77", "--threads", threads, "--dump-realizations",
+                "--out", str(out)], catch_exceptions=False)
+            assert res.exit_code == 0, res.output
+            for path in sorted(out.iterdir()):
+                files[f"{out.name}/{path.name}"] = path.read_bytes()
+    return files
+
+
+def test_vectorized_jump_records_keep_cli_outputs(tmp_path, monkeypatch):
+    # N = 1100 spans three chunks, the last one partial; the continuous
+    # control gives every bin its own drift step.
+    spec = make_preparation_problem()
+    t = (np.arange(spec.n_bins) + 0.5) / spec.n_bins
+    u = ControlSchedule(values=0.9 * np.sin(2.0 * np.pi * t + 0.3),
+                        dt=spec.dt)
+    control = tmp_path / "control.csv"
+    control.write_text(control_to_csv(u), encoding="utf-8")
+    shipped = _trajectories_outputs(tmp_path / "shipped", control,
+                                    monkeypatch, trajectories._dn_chunk)
+    oracle = _trajectories_outputs(tmp_path / "oracle", control,
+                                   monkeypatch, scalar_dn_chunk)
+    assert len(shipped) == 2 * 8 + 2 * 3
+    assert shipped.keys() == oracle.keys()
+    for name, data in shipped.items():
+        assert data == oracle[name], name
 
 
 def test_sample_jump_process_reproducible():
